@@ -54,6 +54,25 @@ void BM_OnlinePredictionFullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlinePredictionFullPipeline);
 
+void BM_GpPredict(benchmark::State& state) {
+  // The same online step with the gp-sqexp predictor, trained once
+  // without the kernel it then predicts: classify + one batched power
+  // posterior over all configurations + tabled perf + frontier.
+  static const core::PredictorPtr gp = [] {
+    std::vector<core::KernelCharacterization> training =
+        offline().characterizations;
+    training.erase(training.begin() + 7);
+    core::TrainerOptions options;
+    options.predictor = core::PredictorKind::GaussianProcess;
+    return core::train_predictor(training, options).predictor;
+  }();
+  const auto& samples = offline().characterizations[7].samples;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gp->predict(samples));
+  }
+}
+BENCHMARK(BM_GpPredict);
+
 void BM_TreeClassification(benchmark::State& state) {
   const auto& samples = offline().characterizations[3].samples;
   for (auto _ : state) {

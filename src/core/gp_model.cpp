@@ -1,6 +1,7 @@
 #include "core/gp_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -42,6 +43,29 @@ double median_distance(const linalg::Matrix& x) {
                    distances.end());
   const double median = distances[mid];
   return median > 0.0 ? median : 1.0;
+}
+
+/// One row of the forward substitution V = L⁻¹K* for W adjacent queries
+/// (columns of `v`, an n x stride row-major block): row i becomes
+/// (k*_i - Σ_{j<i} l_ij v_j) / l_ii. Each query's sum runs in j order,
+/// exactly the single-query recurrence, and stays in a register.
+template <std::size_t W>
+void forward_substitute(const double* l_i, std::size_t i, double* v,
+                        std::size_t stride) {
+  std::array<double, W> sum;
+  for (std::size_t k = 0; k < W; ++k) {
+    sum[k] = v[i * stride + k];
+  }
+  for (std::size_t j = 0; j < i; ++j) {
+    const double l_ij = l_i[j];
+    const double* const v_j = v + j * stride;
+    for (std::size_t k = 0; k < W; ++k) {
+      sum[k] -= l_ij * v_j[k];
+    }
+  }
+  for (std::size_t k = 0; k < W; ++k) {
+    v[i * stride + k] = sum[k] / l_i[i];
+  }
 }
 
 }  // namespace
@@ -126,34 +150,58 @@ void GpRegressor::finalize() {
 
 GpRegressor::MeanVariance GpRegressor::predict(
     std::span<const double> features) const {
-  ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
   ACSEL_CHECK_MSG(features.size() == x_.cols(),
                   "GpRegressor::predict: feature count mismatch");
-  const std::size_t n = y_.size();
-  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-  std::vector<double> k_star(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k_star[i] = signal_variance_ *
-                std::exp(-squared_distance(x_.row(i), features) * inv_2l2);
+  std::vector<double> sq_dist(x_.rows());
+  for (std::size_t i = 0; i < sq_dist.size(); ++i) {
+    sq_dist[i] = squared_distance(x_.row(i), features);
   }
-
   MeanVariance out;
-  out.mean = y_mean_ + linalg::dot(k_star, alpha_);
+  predict_batch(sq_dist, {&out, 1});
+  return out;
+}
 
+void GpRegressor::predict_batch(std::span<double> sq_dist,
+                                std::span<MeanVariance> out) const {
+  ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
+  const std::size_t n = y_.size();
+  const std::size_t m = out.size();
+  ACSEL_CHECK_MSG(sq_dist.size() == n * m,
+                  "GpRegressor::predict_batch: workspace is not n x m");
+  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
+  const double* const l = l_.data().data();
+  // Until the final pass, mean holds k*·α and variance holds |L⁻¹k*|².
+  for (MeanVariance& q : out) {
+    q = MeanVariance{};
+  }
+  // Row i of the workspace turns from squared distances into k*_i and
+  // then, by forward substitution against the rows above it, into
+  // v_i = (L⁻¹K*)_i. Every query accumulates in training-row order.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* const v_i = sq_dist.data() + i * m;
+    for (std::size_t q = 0; q < m; ++q) {
+      v_i[q] = signal_variance_ * std::exp(-v_i[q] * inv_2l2);
+      out[q].mean += v_i[q] * alpha_[i];
+    }
+    const double* const l_i = l + i * n;
+    std::size_t q0 = 0;
+    for (; q0 + 4 <= m; q0 += 4) {
+      forward_substitute<4>(l_i, i, sq_dist.data() + q0, m);
+    }
+    for (; q0 < m; ++q0) {
+      forward_substitute<1>(l_i, i, sq_dist.data() + q0, m);
+    }
+    for (std::size_t q = 0; q < m; ++q) {
+      out[q].variance += v_i[q] * v_i[q];
+    }
+  }
   // var = k(x*,x*) + noise - |L⁻¹ k*|² — the posterior shrinks toward the
   // noise floor at training points and opens to signal + noise far away.
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = k_star[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      sum -= l_(i, j) * v[j];
-    }
-    v[i] = sum / l_(i, i);
+  for (MeanVariance& q : out) {
+    q.mean = y_mean_ + q.mean;
+    q.variance =
+        std::max(0.0, signal_variance_ + noise_variance_ - q.variance);
   }
-  const double reduction = linalg::dot(v, v);
-  out.variance =
-      std::max(0.0, signal_variance_ + noise_variance_ - reduction);
-  return out;
 }
 
 std::string GpRegressor::serialize() const {
@@ -211,6 +259,56 @@ GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
   ACSEL_CHECK_MSG(tree_.feature_count() ==
                       classification_feature_names().size(),
                   "tree feature count mismatch");
+  compiled_.reserve(clusters_.size());
+  for (const ClusterSurrogate& surrogate : clusters_) {
+    compiled_.push_back(compile(surrogate, space_));
+  }
+}
+
+GpPredictor::CompiledCluster GpPredictor::compile(
+    const ClusterSurrogate& surrogate, const hw::ConfigSpace& space) {
+  ACSEL_CHECK_MSG(
+      surrogate.power.feature_count() == power_feature_names().size() &&
+          surrogate.perf_cpu.feature_count() == perf_feature_names().size() &&
+          surrogate.perf_gpu.feature_count() == perf_feature_names().size(),
+      "GP surrogate feature count mismatch");
+  const std::size_t m = space.size();
+  CompiledCluster compiled;
+
+  compiled.perf_ratio.resize(m);
+  compiled.perf_sigma.resize(m);
+  for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
+    const GpRegressor& gp = device == hw::Device::Gpu ? surrogate.perf_gpu
+                                                      : surrogate.perf_cpu;
+    const std::vector<std::size_t> configs = space.indices_for(device);
+    const std::size_t k = configs.size();
+    std::vector<double> sq_dist(gp.training_rows() * k);
+    for (std::size_t q = 0; q < k; ++q) {
+      const std::vector<double> features = perf_features(space.at(configs[q]));
+      for (std::size_t i = 0; i < gp.training_rows(); ++i) {
+        sq_dist[i * k + q] =
+            squared_distance(gp.training_inputs().row(i), features);
+      }
+    }
+    std::vector<GpRegressor::MeanVariance> posterior(k);
+    gp.predict_batch(sq_dist, posterior);
+    for (std::size_t q = 0; q < k; ++q) {
+      compiled.perf_ratio[configs[q]] = std::max(1e-6, posterior[q].mean);
+      compiled.perf_sigma[configs[q]] = std::sqrt(posterior[q].variance);
+    }
+  }
+
+  const linalg::Matrix& x = surrogate.power.training_inputs();
+  compiled.power_config_sq_dist.resize(x.rows() * m);
+  for (std::size_t q = 0; q < m; ++q) {
+    const std::array<double, kPowerConfigColumns> head =
+        power_config_features(space.at(q));
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      compiled.power_config_sq_dist[i * m + q] =
+          squared_distance(x.row(i).first(kPowerConfigColumns), head);
+    }
+  }
+  return compiled;
 }
 
 const GpPredictor::ClusterSurrogate& GpPredictor::cluster(
@@ -231,34 +329,49 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   ACSEL_OBS_SPAN("predict", "model");
   Prediction prediction;
   prediction.cluster = classify(samples);
-  const ClusterSurrogate& surrogate = clusters_[prediction.cluster];
+  const GpRegressor& power_gp = clusters_[prediction.cluster].power;
+  const CompiledCluster& compiled = compiled_[prediction.cluster];
+  const std::size_t m = space_.size();
 
-  const std::size_t n = space_.size();
-  prediction.per_config.reserve(n);
-  std::vector<double> power(n);
-  std::vector<double> perf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const hw::Configuration& config = space_.at(i);
+  // Finish each stored squared distance with the four sample columns, in
+  // power_features' column order: the sums are exactly full-row ones.
+  const std::array<double, 4> cpu_tail =
+      power_sample_features(hw::Device::Cpu, samples);
+  const std::array<double, 4> gpu_tail =
+      power_sample_features(hw::Device::Gpu, samples);
+  const std::span<const double> x = power_gp.training_inputs().data();
+  const std::size_t d = power_gp.feature_count();
+  std::vector<double> sq_dist = compiled.power_config_sq_dist;
+  for (std::size_t q = 0; q < m; ++q) {
+    const std::array<double, 4>& tail =
+        space_.at(q).device == hw::Device::Gpu ? gpu_tail : cpu_tail;
+    for (std::size_t i = 0; i < power_gp.training_rows(); ++i) {
+      const double* const x_i = x.data() + i * d + kPowerConfigColumns;
+      double& sum = sq_dist[i * m + q];
+      for (std::size_t c = 0; c < tail.size(); ++c) {
+        const double diff = x_i[c] - tail[c];
+        sum += diff * diff;
+      }
+    }
+  }
+  std::vector<GpRegressor::MeanVariance> power_mv(m);
+  power_gp.predict_batch(sq_dist, power_mv);
 
-    const auto power_mv =
-        surrogate.power.predict(power_features(config, samples));
-    Estimate estimate;
-    estimate.power_w = std::max(1.0, power_mv.mean);
-    estimate.power_sigma = std::sqrt(power_mv.variance);
-
-    const bool on_gpu = config.device == hw::Device::Gpu;
-    const GpRegressor& perf_gp =
-        on_gpu ? surrogate.perf_gpu : surrogate.perf_cpu;
+  const double s_cpu = samples.cpu.performance();
+  const double s_gpu = samples.gpu.performance();
+  prediction.per_config.resize(m);
+  std::vector<double> power(m);
+  std::vector<double> perf(m);
+  for (std::size_t q = 0; q < m; ++q) {
     const double s_perf =
-        on_gpu ? samples.gpu.performance() : samples.cpu.performance();
-    const auto perf_mv = perf_gp.predict(perf_features(config));
-    const double ratio = std::max(1e-6, perf_mv.mean);
-    estimate.performance = ratio * s_perf;
-    estimate.performance_sigma = std::sqrt(perf_mv.variance) * s_perf;
-
-    power[i] = estimate.power_w;
-    perf[i] = estimate.performance;
-    prediction.per_config.push_back(estimate);
+        space_.at(q).device == hw::Device::Gpu ? s_gpu : s_cpu;
+    Estimate& estimate = prediction.per_config[q];
+    estimate.power_w = std::max(1.0, power_mv[q].mean);
+    estimate.power_sigma = std::sqrt(power_mv[q].variance);
+    estimate.performance = compiled.perf_ratio[q] * s_perf;
+    estimate.performance_sigma = compiled.perf_sigma[q] * s_perf;
+    power[q] = estimate.power_w;
+    perf[q] = estimate.performance;
   }
   prediction.frontier = pareto::ParetoFrontier::build(power, perf);
   return prediction;

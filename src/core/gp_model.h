@@ -57,9 +57,21 @@ class GpRegressor {
     double variance = 0.0;
   };
 
-  /// Posterior at one feature vector (length == feature_count()).
+  /// Posterior at one feature vector (length == feature_count()): the
+  /// m = 1 case of predict_batch.
   MeanVariance predict(std::span<const double> features) const;
 
+  /// Posteriors at m = out.size() query points in one pass. `sq_dist`
+  /// holds the squared distance from every training row to every query,
+  /// n x m row-major (training row outer, query inner and contiguous),
+  /// and is overwritten as workspace. Each query's arithmetic is exactly
+  /// that of a lone predict() call, so results do not depend on m. The
+  /// forward substitution L⁻¹K* runs over all queries at once: O(m·n²).
+  void predict_batch(std::span<double> sq_dist,
+                     std::span<MeanVariance> out) const;
+
+  /// Retained training inputs, n x feature_count().
+  const linalg::Matrix& training_inputs() const { return x_; }
   std::size_t training_rows() const { return x_.rows(); }
   std::size_t feature_count() const { return x_.cols(); }
   double length_scale() const { return length_scale_; }
@@ -92,6 +104,13 @@ class GpRegressor {
 /// cluster assignment problem is unchanged) with three GP posteriors per
 /// cluster — absolute power over power_features, and per-device relative
 /// performance over perf_features.
+///
+/// The constructor compiles each cluster once: perf posteriors depend on
+/// the configuration alone, so they become per-config tables, and the
+/// power GP's squared distances over power_features' configuration
+/// columns are stored per (training row, config). predict() then only
+/// adds the four sample columns and runs one batched power posterior over
+/// all configs — bit-identical to evaluating every config on its own.
 class GpPredictor final : public Predictor {
  public:
   /// Envelope tag of this family.
@@ -122,9 +141,23 @@ class GpPredictor final : public Predictor {
                                    const std::string& body);
 
  private:
+  /// The request-independent part of one cluster's posteriors.
+  struct CompiledCluster {
+    /// Per config: max(1e-6, perf-GP mean) and the perf-GP sigma, both
+    /// relative to the same-device sample performance.
+    std::vector<double> perf_ratio;
+    std::vector<double> perf_sigma;
+    /// n x configs: squared distance from each power-GP training row to
+    /// each config over the first kPowerConfigColumns features.
+    std::vector<double> power_config_sq_dist;
+  };
+  static CompiledCluster compile(const ClusterSurrogate& surrogate,
+                                 const hw::ConfigSpace& space);
+
   std::vector<ClusterSurrogate> clusters_;
   stats::Cart tree_;
   hw::ConfigSpace space_;
+  std::vector<CompiledCluster> compiled_;  ///< parallel to clusters_
 };
 
 }  // namespace acsel::core

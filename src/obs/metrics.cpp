@@ -18,8 +18,9 @@ std::size_t Histogram::bucket_of(std::uint64_t nanos) {
   }
   const int octave = static_cast<int>(std::bit_width(nanos)) - 1;  // >= 2
   const std::uint64_t sub = (nanos >> (octave - 2)) & 3;  // quarter-octave
-  const std::size_t index =
-      static_cast<std::size_t>(octave) * 4 + static_cast<std::size_t>(sub);
+  // Octave 2 (4..7 ns) starts right after the four singleton buckets.
+  const std::size_t index = static_cast<std::size_t>(octave - 1) * 4 +
+                            static_cast<std::size_t>(sub);
   return index < kBuckets ? index : kBuckets - 1;
 }
 
@@ -27,7 +28,7 @@ std::uint64_t Histogram::bucket_upper_nanos(std::size_t bucket) {
   if (bucket < 4) {
     return bucket;
   }
-  const std::uint64_t octave = bucket / 4;
+  const std::uint64_t octave = bucket / 4 + 1;  // >= 2
   const std::uint64_t sub = bucket % 4;
   // Largest value whose top bits are (1, sub): next quarter boundary - 1.
   return ((4 + sub + 1) << (octave - 2)) - 1;

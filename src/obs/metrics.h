@@ -61,7 +61,8 @@ class Gauge {
 /// bucket.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 132;  // 33 octaves * 4
+  /// Samples 0..3 get one bucket each, then octaves 2..32 four each.
+  static constexpr std::size_t kBuckets = 4 + 31 * 4;
   /// Exemplars retained per histogram (the slowest samples seen).
   static constexpr std::size_t kExemplarSlots = 4;
 

@@ -1,0 +1,234 @@
+// Differential test of the compiled GP predictor. GpPredictor compiles
+// each cluster at construction (tabled perf posteriors, stored squared
+// distances over the configuration-only power features) and answers a
+// request with one batched power posterior. The reference below is the
+// direct per-configuration evaluation: one single-point GpRegressor
+// posterior per config over the full power_features and perf_features
+// rows. Both must agree bit for bit on every suite kernel, for a trained
+// model, its serialize -> parse round trip, and a model whose GPs were
+// strided down to a small row cap. Also runs under TSan in CI.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/features.h"
+#include "core/gp_model.h"
+#include "core/predictor.h"
+#include "core/trainer.h"
+#include "eval/characterize.h"
+#include "soc/machine.h"
+#include "workloads/suite.h"
+
+namespace acsel::core {
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The per-configuration evaluation the compiled form replaces.
+Prediction reference_predict(const GpPredictor& model,
+                             const SamplePair& samples) {
+  Prediction prediction;
+  prediction.cluster = model.classify(samples);
+  const GpPredictor::ClusterSurrogate& surrogate =
+      model.cluster(prediction.cluster);
+  const hw::ConfigSpace& space = model.config_space();
+  std::vector<double> power(space.size());
+  std::vector<double> perf(space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const hw::Configuration& config = space.at(i);
+    const auto power_mv =
+        surrogate.power.predict(power_features(config, samples));
+    Estimate estimate;
+    estimate.power_w = std::max(1.0, power_mv.mean);
+    estimate.power_sigma = std::sqrt(power_mv.variance);
+
+    const bool on_gpu = config.device == hw::Device::Gpu;
+    const GpRegressor& perf_gp =
+        on_gpu ? surrogate.perf_gpu : surrogate.perf_cpu;
+    const double s_perf =
+        on_gpu ? samples.gpu.performance() : samples.cpu.performance();
+    const auto perf_mv = perf_gp.predict(perf_features(config));
+    estimate.performance = std::max(1e-6, perf_mv.mean) * s_perf;
+    estimate.performance_sigma = std::sqrt(perf_mv.variance) * s_perf;
+
+    power[i] = estimate.power_w;
+    perf[i] = estimate.performance;
+    prediction.per_config.push_back(estimate);
+  }
+  prediction.frontier = pareto::ParetoFrontier::build(power, perf);
+  return prediction;
+}
+
+/// Number of fields that differ in bits (0 = identical).
+int mismatches(const Prediction& a, const Prediction& b) {
+  int diffs = a.cluster == b.cluster ? 0 : 1;
+  if (a.per_config.size() != b.per_config.size()) {
+    return diffs + 1;
+  }
+  for (std::size_t i = 0; i < a.per_config.size(); ++i) {
+    const Estimate& x = a.per_config[i];
+    const Estimate& y = b.per_config[i];
+    diffs += same_bits(x.power_w, y.power_w) ? 0 : 1;
+    diffs += same_bits(x.performance, y.performance) ? 0 : 1;
+    diffs += same_bits(x.power_sigma, y.power_sigma) ? 0 : 1;
+    diffs += same_bits(x.performance_sigma, y.performance_sigma) ? 0 : 1;
+  }
+  const auto& fa = a.frontier.points();
+  const auto& fb = b.frontier.points();
+  if (fa.size() != fb.size()) {
+    return diffs + 1;
+  }
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    diffs += fa[i].config_index == fb[i].config_index ? 0 : 1;
+  }
+  return diffs;
+}
+
+class GpCompiledTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const soc::Machine machine{soc::MachineSpec{}, 1313};
+    kernels_ = new std::vector<KernelCharacterization>(
+        eval::characterize(machine, workloads::Suite::standard()));
+    TrainerOptions options;
+    options.predictor = PredictorKind::GaussianProcess;
+    trained_ = new std::shared_ptr<const GpPredictor>(
+        as_gp(train_predictor(*kernels_, options).predictor));
+    options.gp_max_rows = 48;
+    strided_ = new std::shared_ptr<const GpPredictor>(
+        as_gp(train_predictor(*kernels_, options).predictor));
+  }
+
+  static void TearDownTestSuite() {
+    delete strided_;
+    delete trained_;
+    delete kernels_;
+  }
+
+  static std::shared_ptr<const GpPredictor> as_gp(const PredictorPtr& p) {
+    auto gp = std::dynamic_pointer_cast<const GpPredictor>(p);
+    EXPECT_NE(gp, nullptr);
+    return gp;
+  }
+
+  static void expect_matches_reference(const GpPredictor& model) {
+    for (std::size_t k = 0; k < kernels_->size(); ++k) {
+      const SamplePair& samples = (*kernels_)[k].samples;
+      EXPECT_EQ(mismatches(model.predict(samples),
+                           reference_predict(model, samples)),
+                0)
+          << "kernel " << k;
+    }
+  }
+
+  static std::vector<KernelCharacterization>* kernels_;
+  static std::shared_ptr<const GpPredictor>* trained_;
+  static std::shared_ptr<const GpPredictor>* strided_;
+};
+
+std::vector<KernelCharacterization>* GpCompiledTest::kernels_ = nullptr;
+std::shared_ptr<const GpPredictor>* GpCompiledTest::trained_ = nullptr;
+std::shared_ptr<const GpPredictor>* GpCompiledTest::strided_ = nullptr;
+
+TEST_F(GpCompiledTest, TrainedModelMatchesPerConfigReference) {
+  ASSERT_EQ(kernels_->size(), workloads::Suite::standard().size());
+  expect_matches_reference(**trained_);
+}
+
+TEST_F(GpCompiledTest, ParsedModelMatchesPerConfigReference) {
+  const GpPredictor parsed = GpPredictor::parse((*trained_)->serialize());
+  expect_matches_reference(parsed);
+  for (const KernelCharacterization& kernel : *kernels_) {
+    EXPECT_EQ(mismatches(parsed.predict(kernel.samples),
+                         (*trained_)->predict(kernel.samples)),
+              0);
+  }
+}
+
+TEST_F(GpCompiledTest, StridedModelMatchesPerConfigReference) {
+  const GpPredictor& model = **strided_;
+  for (std::size_t c = 0; c < model.cluster_count(); ++c) {
+    EXPECT_LE(model.cluster(c).power.training_rows(), 48u);
+    EXPECT_LE(model.cluster(c).perf_cpu.training_rows(), 48u);
+  }
+  expect_matches_reference(model);
+}
+
+TEST_F(GpCompiledTest, BatchOfOneAndBatchOfManyMatchSinglePoint) {
+  // Every query's arithmetic in predict_batch is independent of the
+  // batch width: m = 1 and m = all configs give predict()'s bits.
+  const GpRegressor& gp = (*trained_)->cluster(0).power;
+  const linalg::Matrix& x = gp.training_inputs();
+  const hw::ConfigSpace space;
+  const SamplePair& samples = kernels_->front().samples;
+  const std::size_t n = gp.training_rows();
+  const std::size_t m = space.size();
+  std::vector<double> batch_sq_dist(n * m);
+  std::vector<GpRegressor::MeanVariance> singles;
+  for (std::size_t q = 0; q < m; ++q) {
+    const std::vector<double> features = power_features(space.at(q), samples);
+    std::vector<double> sq_dist(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double sum = 0.0;
+      for (std::size_t c = 0; c < features.size(); ++c) {
+        const double diff = x(i, c) - features[c];
+        sum += diff * diff;
+      }
+      sq_dist[i] = sum;
+      batch_sq_dist[i * m + q] = sum;
+    }
+    GpRegressor::MeanVariance one;
+    gp.predict_batch(sq_dist, {&one, 1});
+    const GpRegressor::MeanVariance single = gp.predict(features);
+    EXPECT_TRUE(same_bits(one.mean, single.mean)) << q;
+    EXPECT_TRUE(same_bits(one.variance, single.variance)) << q;
+    singles.push_back(single);
+  }
+  std::vector<GpRegressor::MeanVariance> batch(m);
+  gp.predict_batch(batch_sq_dist, batch);
+  for (std::size_t q = 0; q < m; ++q) {
+    EXPECT_TRUE(same_bits(batch[q].mean, singles[q].mean)) << q;
+    EXPECT_TRUE(same_bits(batch[q].variance, singles[q].variance)) << q;
+  }
+}
+
+TEST_F(GpCompiledTest, ConcurrentPredictMatchesSerial) {
+  const GpPredictor& model = **trained_;
+  std::vector<Prediction> serial;
+  for (const KernelCharacterization& kernel : *kernels_) {
+    serial.push_back(model.predict(kernel.samples));
+  }
+  constexpr int kThreads = 8;
+  std::vector<int> diffs(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different kernel so different clusters
+      // are in flight at once.
+      for (std::size_t j = 0; j < kernels_->size(); ++j) {
+        const std::size_t k =
+            (j + static_cast<std::size_t>(t) * 7) % kernels_->size();
+        diffs[static_cast<std::size_t>(t)] +=
+            mismatches(model.predict((*kernels_)[k].samples), serial[k]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(diffs[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+}
+
+}  // namespace
+}  // namespace acsel::core

@@ -37,6 +37,25 @@ TEST(Histogram, MergeAddsCountsAndTakesMax) {
   EXPECT_DOUBLE_EQ(snap.p99_us, c.snapshot().p99_us);
 }
 
+TEST(Histogram, EveryBucketIsReachableWithIncreasingBounds) {
+  // No dead slots: each bucket's upper bound maps back to that bucket,
+  // each bound is the previous one plus at least one, and the last
+  // bucket covers the documented ~9 s range.
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(Histogram::bucket_of(Histogram::bucket_upper_nanos(b)), b) << b;
+    if (b + 1 < Histogram::kBuckets) {
+      EXPECT_LT(Histogram::bucket_upper_nanos(b),
+                Histogram::bucket_upper_nanos(b + 1))
+          << b;
+      EXPECT_EQ(Histogram::bucket_of(Histogram::bucket_upper_nanos(b) + 1),
+                b + 1)
+          << b;
+    }
+  }
+  EXPECT_EQ(Histogram::bucket_upper_nanos(Histogram::kBuckets - 1),
+            (std::uint64_t{1} << 33) - 1);
+}
+
 TEST(Histogram, MergeOfEmptyIsIdentity) {
   Histogram a;
   a.record(4096);
