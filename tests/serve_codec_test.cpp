@@ -166,6 +166,10 @@ struct HeaderCase {
   DecodeStatus expected;
 };
 
+// Without a printer gtest lists a case as its raw bytes, which hold the
+// load address of `name` and so change from one build to the next.
+void PrintTo(const HeaderCase& c, std::ostream* os) { *os << c.name; }
+
 class ServeCodecHeader : public ::testing::TestWithParam<HeaderCase> {};
 
 TEST_P(ServeCodecHeader, RejectsCorruptHeader) {
@@ -639,6 +643,11 @@ struct FeedbackNonFiniteCase {
   const char* name;
   double FeedbackRequest::* field;
 };
+
+// Printed by name for the same reason as HeaderCase.
+void PrintTo(const FeedbackNonFiniteCase& c, std::ostream* os) {
+  *os << c.name;
+}
 
 class ServeCodecFeedbackNonFinite
     : public ::testing::TestWithParam<FeedbackNonFiniteCase> {};
