@@ -9,12 +9,16 @@
 //    R; here it is milliseconds in C++).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include "bench_common.h"
+#include "core/gp_model.h"
 #include "core/scheduler.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
+#include "linalg/cholesky.h"
 #include "pareto/dissimilarity.h"
 #include "stats/kendall.h"
 #include "util/rng.h"
@@ -54,10 +58,9 @@ void BM_OnlinePredictionFullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlinePredictionFullPipeline);
 
-void BM_GpPredict(benchmark::State& state) {
-  // The same online step with the gp-sqexp predictor, trained once
-  // without the kernel it then predicts: classify + one batched power
-  // posterior over all configurations + tabled perf + frontier.
+/// gp-sqexp trained once without kernel 7, the kernel the GP benchmarks
+/// then predict.
+const core::PredictorPtr& gp_model() {
   static const core::PredictorPtr gp = [] {
     std::vector<core::KernelCharacterization> training =
         offline().characterizations;
@@ -66,12 +69,57 @@ void BM_GpPredict(benchmark::State& state) {
     options.predictor = core::PredictorKind::GaussianProcess;
     return core::train_predictor(training, options).predictor;
   }();
+  return gp;
+}
+
+void BM_GpPredict(benchmark::State& state) {
+  // The same online step with the gp-sqexp predictor: classify + the
+  // group-factorised power posterior over all configurations + tabled
+  // perf + frontier.
+  const core::PredictorPtr& gp = gp_model();
   const auto& samples = offline().characterizations[7].samples;
   for (auto _ : state) {
     benchmark::DoNotOptimize(gp->predict(samples));
   }
 }
 BENCHMARK(BM_GpPredict);
+
+void BM_GpCompile(benchmark::State& state) {
+  // What publishing a gp-sqexp model costs: parse its text, factorize
+  // every cluster's kernel matrices and compile the per-config tables.
+  const std::string text = gp_model()->serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::GpPredictor::parse(text));
+  }
+}
+BENCHMARK(BM_GpCompile)->Unit(benchmark::kMillisecond);
+
+void BM_CholeskyFactor(benchmark::State& state) {
+  // The factorization behind every GP fit and parse, on a seeded
+  // squared-exponential kernel matrix of the GP's row-cap size.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng{42};
+  std::vector<double> points(n * 3);
+  for (double& v : points) {
+    v = rng.uniform(0.0, 1.0);
+  }
+  linalg::Matrix k{n, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sq = 0.0;
+      for (std::size_t c = 0; c < 3; ++c) {
+        const double d = points[i * 3 + c] - points[j * 3 + c];
+        sq += d * d;
+      }
+      k(i, j) = std::exp(-sq / 0.5) + (i == j ? 1e-2 : 0.0);
+      k(j, i) = k(i, j);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::CholeskyFactorization{k});
+  }
+}
+BENCHMARK(BM_CholeskyFactor)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_TreeClassification(benchmark::State& state) {
   const auto& samples = offline().characterizations[3].samples;

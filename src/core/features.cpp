@@ -33,7 +33,8 @@ std::vector<double> power_features(const hw::Configuration& config,
                                    const SamplePair& samples) {
   const std::array<double, kPowerConfigColumns> h =
       power_config_features(config);
-  const std::array<double, 4> t = power_sample_features(config.device, samples);
+  const std::array<double, kPowerSampleColumns> t =
+      power_sample_features(config.device, samples);
   return {h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7],
           t[0], t[1], t[2], t[3]};
 }
@@ -51,8 +52,8 @@ std::array<double, kPowerConfigColumns> power_config_features(
   return {dev, f, thr, g, scatter, f * thr, f * g, dev * f};
 }
 
-std::array<double, 4> power_sample_features(hw::Device device,
-                                            const SamplePair& samples) {
+std::array<double, kPowerSampleColumns> power_sample_features(
+    hw::Device device, const SamplePair& samples) {
   const double dev = device == hw::Device::Gpu ? 1.0 : 0.0;
   const double s_cpu = samples.cpu.total_power_w() / kPowerScaleW;
   const double s_gpu = samples.gpu.total_power_w() / kPowerScaleW;

@@ -35,10 +35,11 @@ const std::vector<std::string>& power_feature_names();
 /// power_features splits into a configuration-only head and a
 /// sample-dependent tail; power_features is exactly head ++ tail.
 inline constexpr std::size_t kPowerConfigColumns = 8;
+inline constexpr std::size_t kPowerSampleColumns = 4;
 std::array<double, kPowerConfigColumns> power_config_features(
     const hw::Configuration& config);
-std::array<double, 4> power_sample_features(hw::Device device,
-                                            const SamplePair& samples);
+std::array<double, kPowerSampleColumns> power_sample_features(
+    hw::Device device, const SamplePair& samples);
 
 /// Features for the per-cluster per-device *performance* regression:
 /// a constant plus the within-device configuration variables and

@@ -68,6 +68,26 @@ void forward_substitute(const double* l_i, std::size_t i, double* v,
   }
 }
 
+/// Σ a_k·b_k over `size` entries in four interleaved partial sums, so a
+/// long table row is not one serial chain of additions.
+double dot(const double* a, const double* b, std::size_t size) {
+  double s_0 = 0.0;
+  double s_1 = 0.0;
+  double s_2 = 0.0;
+  double s_3 = 0.0;
+  std::size_t k = 0;
+  for (; k + 4 <= size; k += 4) {
+    s_0 += a[k] * b[k];
+    s_1 += a[k + 1] * b[k + 1];
+    s_2 += a[k + 2] * b[k + 2];
+    s_3 += a[k + 3] * b[k + 3];
+  }
+  for (; k < size; ++k) {
+    s_0 += a[k] * b[k];
+  }
+  return (s_0 + s_1) + (s_2 + s_3);
+}
+
 }  // namespace
 
 GpRegressor GpRegressor::fit(const linalg::Matrix& x,
@@ -139,13 +159,12 @@ void GpRegressor::finalize() {
       k(j, i) = v;
     }
   }
-  const linalg::CholeskyFactorization chol{k};
-  l_ = chol.l();
+  chol_ = linalg::CholeskyFactorization{k};
   std::vector<double> centered(n);
   for (std::size_t i = 0; i < n; ++i) {
     centered[i] = y_[i] - y_mean_;
   }
-  alpha_ = chol.solve(centered);
+  alpha_ = chol_.solve(centered);
 }
 
 GpRegressor::MeanVariance GpRegressor::predict(
@@ -169,7 +188,7 @@ void GpRegressor::predict_batch(std::span<double> sq_dist,
   ACSEL_CHECK_MSG(sq_dist.size() == n * m,
                   "GpRegressor::predict_batch: workspace is not n x m");
   const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-  const double* const l = l_.data().data();
+  const double* const l = chol_.l().data().data();
   // Until the final pass, mean holds k*·α and variance holds |L⁻¹k*|².
   for (MeanVariance& q : out) {
     q = MeanVariance{};
@@ -195,13 +214,91 @@ void GpRegressor::predict_batch(std::span<double> sq_dist,
       out[q].variance += v_i[q] * v_i[q];
     }
   }
+  for (MeanVariance& q : out) {
+    q = posterior(q.mean, q.variance);
+  }
+}
+
+GpRegressor::MeanVariance GpRegressor::posterior(double k_alpha,
+                                                 double reduction) const {
   // var = k(x*,x*) + noise - |L⁻¹ k*|² — the posterior shrinks toward the
   // noise floor at training points and opens to signal + noise far away.
-  for (MeanVariance& q : out) {
-    q.mean = y_mean_ + q.mean;
-    q.variance =
-        std::max(0.0, signal_variance_ + noise_variance_ - q.variance);
+  return {y_mean_ + k_alpha,
+          std::max(0.0, signal_variance_ + noise_variance_ - reduction)};
+}
+
+double GpRegressor::correlation(double sq_dist) const {
+  return std::exp(-sq_dist / (2.0 * length_scale_ * length_scale_));
+}
+
+GpRegressor::GroupTables GpRegressor::group_tables(
+    std::span<const std::size_t> group_of_row, std::size_t groups,
+    std::span<const double> factor) const {
+  ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::group_tables before fit/parse");
+  const std::size_t n = y_.size();
+  ACSEL_CHECK_MSG(group_of_row.size() == n && groups > 0 &&
+                      factor.size() % n == 0,
+                  "GpRegressor::group_tables: shape mismatch");
+  const std::size_t m = factor.size() / n;
+  for (const std::size_t g : group_of_row) {
+    ACSEL_CHECK_MSG(g < groups, "GpRegressor::group_tables: group index");
   }
+
+  // Sums run over all m queries at once (query innermost), group-major;
+  // the tables are scaled by s² and s⁴ and made query-major at the end.
+  const linalg::Matrix k_inv = chol_.inverse();
+  const std::size_t pairs = groups * (groups + 1) / 2;
+  std::vector<double> mean(groups * m, 0.0);
+  std::vector<double> quad(pairs * m, 0.0);
+  std::vector<double> u(groups * m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t g = group_of_row[i];
+    const double* const a_i = factor.data() + i * m;
+    for (std::size_t q = 0; q < m; ++q) {
+      mean[g * m + q] += a_i[q] * alpha_[i];
+    }
+    // u_h = Σ_{j∈h} (K⁻¹)_ij a_j for every group h >= g; row i's pairs
+    // with lower groups are counted from the other side.
+    std::fill(u.begin() + static_cast<std::ptrdiff_t>(g * m), u.end(), 0.0);
+    const std::span<const double> k_inv_i = k_inv.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t h = group_of_row[j];
+      if (h < g) {
+        continue;
+      }
+      const double k_ij = k_inv_i[j];
+      const double* const a_j = factor.data() + j * m;
+      double* const u_h = u.data() + h * m;
+      for (std::size_t q = 0; q < m; ++q) {
+        u_h[q] += k_ij * a_j[q];
+      }
+    }
+    // Pairs (g, h >= g) start at g·groups - g(g-1)/2.
+    double* const quad_g = quad.data() + (g * groups - g * (g - 1) / 2) * m;
+    for (std::size_t h = g; h < groups; ++h) {
+      const double count = h == g ? 1.0 : 2.0;
+      double* const quad_gh = quad_g + (h - g) * m;
+      const double* const u_h = u.data() + h * m;
+      for (std::size_t q = 0; q < m; ++q) {
+        quad_gh[q] += count * a_i[q] * u_h[q];
+      }
+    }
+  }
+
+  const double s2 = signal_variance_;
+  GroupTables tables;
+  tables.groups = groups;
+  tables.mean.resize(m * groups);
+  tables.quad.resize(m * pairs);
+  for (std::size_t q = 0; q < m; ++q) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      tables.mean[q * groups + g] = s2 * mean[g * m + q];
+    }
+    for (std::size_t gh = 0; gh < pairs; ++gh) {
+      tables.quad[q * pairs + gh] = s2 * s2 * quad[gh * m + q];
+    }
+  }
+  return tables;
 }
 
 std::string GpRegressor::serialize() const {
@@ -298,16 +395,38 @@ GpPredictor::CompiledCluster GpPredictor::compile(
     }
   }
 
-  const linalg::Matrix& x = surrogate.power.training_inputs();
-  compiled.power_config_sq_dist.resize(x.rows() * m);
+  // Group the power GP's rows by their sample columns, then tabulate the
+  // configuration factor a_iq for every (row, config).
+  const GpRegressor& power = surrogate.power;
+  const linalg::Matrix& x = power.training_inputs();
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> group_of_row(n);
+  std::size_t groups = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> tail = x.row(i).subspan(kPowerConfigColumns);
+    std::size_t g = 0;
+    while (g < groups &&
+           !std::equal(tail.begin(), tail.end(),
+                       compiled.group_tail.data() + g * kPowerSampleColumns)) {
+      ++g;
+    }
+    if (g == groups) {
+      compiled.group_tail.insert(compiled.group_tail.end(), tail.begin(),
+                                 tail.end());
+      ++groups;
+    }
+    group_of_row[i] = g;
+  }
+  std::vector<double> factor(n * m);
   for (std::size_t q = 0; q < m; ++q) {
     const std::array<double, kPowerConfigColumns> head =
         power_config_features(space.at(q));
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      compiled.power_config_sq_dist[i * m + q] =
-          squared_distance(x.row(i).first(kPowerConfigColumns), head);
+    for (std::size_t i = 0; i < n; ++i) {
+      factor[i * m + q] = power.correlation(
+          squared_distance(x.row(i).first(kPowerConfigColumns), head));
     }
   }
+  compiled.power = power.group_tables(group_of_row, groups, factor);
   return compiled;
 }
 
@@ -331,47 +450,60 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   prediction.cluster = classify(samples);
   const GpRegressor& power_gp = clusters_[prediction.cluster].power;
   const CompiledCluster& compiled = compiled_[prediction.cluster];
+  const GpRegressor::GroupTables& tables = compiled.power;
   const std::size_t m = space_.size();
+  const std::size_t groups = tables.groups;
+  const std::size_t pairs = tables.quad.size() / m;
 
-  // Finish each stored squared distance with the four sample columns, in
-  // power_features' column order: the sums are exactly full-row ones.
-  const std::array<double, 4> cpu_tail =
-      power_sample_features(hw::Device::Cpu, samples);
-  const std::array<double, 4> gpu_tail =
-      power_sample_features(hw::Device::Gpu, samples);
-  const std::span<const double> x = power_gp.training_inputs().data();
-  const std::size_t d = power_gp.feature_count();
-  std::vector<double> sq_dist = compiled.power_config_sq_dist;
-  for (std::size_t q = 0; q < m; ++q) {
-    const std::array<double, 4>& tail =
-        space_.at(q).device == hw::Device::Gpu ? gpu_tail : cpu_tail;
-    for (std::size_t i = 0; i < power_gp.training_rows(); ++i) {
-      const double* const x_i = x.data() + i * d + kPowerConfigColumns;
-      double& sum = sq_dist[i * m + q];
-      for (std::size_t c = 0; c < tail.size(); ++c) {
-        const double diff = x_i[c] - tail[c];
+  prediction.per_config.resize(m);
+  // Per-call scratch: the group factors b_g, then the pair products.
+  std::vector<double> weights(groups + pairs);
+  double* const b = weights.data();
+  double* const bb = b + groups;
+  // One pass per device: the request's sample columns for that device give
+  // every group's sample factor b_g, and the products b_g·b_h weight the
+  // quad tables of the device's configs.
+  for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
+    const std::array<double, kPowerSampleColumns> tail =
+        power_sample_features(device, samples);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const double* const group_tail =
+          compiled.group_tail.data() + g * kPowerSampleColumns;
+      double sum = 0.0;
+      for (std::size_t c = 0; c < kPowerSampleColumns; ++c) {
+        const double diff = group_tail[c] - tail[c];
         sum += diff * diff;
       }
+      b[g] = power_gp.correlation(sum);
+    }
+    std::size_t pair = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::size_t h = g; h < groups; ++h) {
+        bb[pair++] = b[g] * b[h];
+      }
+    }
+    const double s_perf = device == hw::Device::Gpu
+                              ? samples.gpu.performance()
+                              : samples.cpu.performance();
+    for (std::size_t q = 0; q < m; ++q) {
+      if (space_.at(q).device != device) {
+        continue;
+      }
+      const GpRegressor::MeanVariance mv = power_gp.posterior(
+          dot(tables.mean.data() + q * groups, b, groups),
+          dot(tables.quad.data() + q * pairs, bb, pairs));
+      Estimate& estimate = prediction.per_config[q];
+      estimate.power_w = std::max(1.0, mv.mean);
+      estimate.power_sigma = std::sqrt(mv.variance);
+      estimate.performance = compiled.perf_ratio[q] * s_perf;
+      estimate.performance_sigma = compiled.perf_sigma[q] * s_perf;
     }
   }
-  std::vector<GpRegressor::MeanVariance> power_mv(m);
-  power_gp.predict_batch(sq_dist, power_mv);
-
-  const double s_cpu = samples.cpu.performance();
-  const double s_gpu = samples.gpu.performance();
-  prediction.per_config.resize(m);
   std::vector<double> power(m);
   std::vector<double> perf(m);
   for (std::size_t q = 0; q < m; ++q) {
-    const double s_perf =
-        space_.at(q).device == hw::Device::Gpu ? s_gpu : s_cpu;
-    Estimate& estimate = prediction.per_config[q];
-    estimate.power_w = std::max(1.0, power_mv[q].mean);
-    estimate.power_sigma = std::sqrt(power_mv[q].variance);
-    estimate.performance = compiled.perf_ratio[q] * s_perf;
-    estimate.performance_sigma = compiled.perf_sigma[q] * s_perf;
-    power[q] = estimate.power_w;
-    perf[q] = estimate.performance;
+    power[q] = prediction.per_config[q].power_w;
+    perf[q] = prediction.per_config[q].performance;
   }
   prediction.frontier = pareto::ParetoFrontier::build(power, perf);
   return prediction;

@@ -70,6 +70,34 @@ class GpRegressor {
   void predict_batch(std::span<double> sq_dist,
                      std::span<MeanVariance> out) const;
 
+  /// Exact posterior tables for m queries whose kernel against training
+  /// row i factorises as k_iq = s²·a_iq·b_g(i): a_iq (`factor`, n x m
+  /// row-major, query inner) depends on the row and the query, b_g on
+  /// the row's group g = `group_of_row[i]` < `groups` and on whatever a
+  /// request adds. With the b_g known, one query's posterior is
+  ///   mean     = ȳ + Σ_g b_g·mean[q][g]
+  ///   |L⁻¹k*|² = Σ_{g<=h} b_g·b_h·quad[q][(g,h)]
+  /// which posterior() turns into mean and variance. Costs one K⁻¹
+  /// (n³/3) plus about m·n²/2 multiply-adds.
+  struct GroupTables {
+    std::size_t groups = 0;
+    /// m x groups: s²·Σ_{i∈g} a_iq·α_i.
+    std::vector<double> mean;
+    /// m x groups(groups+1)/2, pairs g <= h row by row (h inner):
+    /// s⁴·Σ_{i∈g, j∈h} a_iq·a_jq·(K⁻¹)_ij, off-diagonal pairs doubled to
+    /// count (h, g) too.
+    std::vector<double> quad;
+  };
+  GroupTables group_tables(std::span<const std::size_t> group_of_row,
+                           std::size_t groups,
+                           std::span<const double> factor) const;
+
+  /// exp(-d / 2ℓ²): the kernel over s² at squared distance d.
+  double correlation(double sq_dist) const;
+
+  /// Mean and variance from a query's k*·α and |L⁻¹k*|².
+  MeanVariance posterior(double k_alpha, double reduction) const;
+
   /// Retained training inputs, n x feature_count().
   const linalg::Matrix& training_inputs() const { return x_; }
   std::size_t training_rows() const { return x_.rows(); }
@@ -96,8 +124,8 @@ class GpRegressor {
   double noise_variance_ = 1e-2;
   // Derived state (never serialized):
   double y_mean_ = 0.0;
-  std::vector<double> alpha_;  ///< K⁻¹ (y - mean)
-  linalg::Matrix l_;           ///< Cholesky factor of K
+  std::vector<double> alpha_;            ///< K⁻¹ (y - mean)
+  linalg::CholeskyFactorization chol_;  ///< K = L Lᵀ
 };
 
 /// The GP-family predictor: the same CART front end as TrainedModel (the
@@ -105,12 +133,15 @@ class GpRegressor {
 /// cluster — absolute power over power_features, and per-device relative
 /// performance over perf_features.
 ///
-/// The constructor compiles each cluster once: perf posteriors depend on
-/// the configuration alone, so they become per-config tables, and the
-/// power GP's squared distances over power_features' configuration
-/// columns are stored per (training row, config). predict() then only
-/// adds the four sample columns and runs one batched power posterior over
-/// all configs — bit-identical to evaluating every config on its own.
+/// The constructor compiles each cluster once. Perf posteriors depend on
+/// the configuration alone, so they become per-config tables. The power
+/// kernel splits into a configuration factor exp(-d_cfg/2ℓ²), constant
+/// per (training row, config), and a sample factor exp(-d_smp/2ℓ²) that
+/// depends only on the row's four sample columns. Rows with bit-identical
+/// sample columns (one kernel's rows on one device) form a group, so the
+/// power posterior is exactly a quadratic form in the G group factors:
+/// GpRegressor::group_tables holds it per config. predict() then costs
+/// 2G exps and O(configs·G²) multiply-adds, independent of n.
 class GpPredictor final : public Predictor {
  public:
   /// Envelope tag of this family.
@@ -147,9 +178,10 @@ class GpPredictor final : public Predictor {
     /// relative to the same-device sample performance.
     std::vector<double> perf_ratio;
     std::vector<double> perf_sigma;
-    /// n x configs: squared distance from each power-GP training row to
-    /// each config over the first kPowerConfigColumns features.
-    std::vector<double> power_config_sq_dist;
+    /// groups x 4: the distinct sample columns of the power GP's
+    /// training rows, one row per group.
+    std::vector<double> group_tail;
+    GpRegressor::GroupTables power;
   };
   static CompiledCluster compile(const ClusterSurrogate& surrogate,
                                  const hw::ConfigSpace& space);

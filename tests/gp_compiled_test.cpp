@@ -1,19 +1,30 @@
 // Differential test of the compiled GP predictor. GpPredictor compiles
-// each cluster at construction (tabled perf posteriors, stored squared
-// distances over the configuration-only power features) and answers a
-// request with one batched power posterior. The reference below is the
-// direct per-configuration evaluation: one single-point GpRegressor
-// posterior per config over the full power_features and perf_features
-// rows. Both must agree bit for bit on every suite kernel, for a trained
-// model, its serialize -> parse round trip, and a model whose GPs were
-// strided down to a small row cap. Also runs under TSan in CI.
+// each cluster at construction: perf posteriors become per-config tables,
+// and the power posterior is factorised over groups of training rows that
+// share their sample columns. The reference below is the direct
+// per-configuration evaluation: one single-point GpRegressor posterior per
+// config over the full power_features and perf_features rows.
+//
+// Cluster, performance, performance_sigma and the frontier indices must
+// agree bit for bit. The factorised power posterior is exact algebra but
+// sums in a different order (exp(-(a+b)) as exp(-a)·exp(-b), K⁻¹ instead
+// of a forward substitution), so power_w must agree within a relative
+// kPowerTolerance and power_sigma within kSigmaTolerance — the variance
+// is signal + noise minus a quadratic form of nearly the same size, so
+// its rounding grows near the noise floor. The selections made from the
+// two predictions must be identical. Checked on every suite kernel for a
+// trained model, its serialize -> parse round trip, a model whose GPs
+// were strided down to a small row cap, and a degenerate model in which
+// every training row is its own group. Also runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +32,7 @@
 #include "core/features.h"
 #include "core/gp_model.h"
 #include "core/predictor.h"
+#include "core/scheduler.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "soc/machine.h"
@@ -29,8 +41,16 @@
 namespace acsel::core {
 namespace {
 
+constexpr double kPowerTolerance = 1e-12;
+constexpr double kSigmaTolerance = 1e-8;
+
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+double relative_diff(double a, double b) {
+  const double scale = std::max(std::abs(a), std::abs(b));
+  return scale == 0.0 ? 0.0 : std::abs(a - b) / scale;
 }
 
 /// The per-configuration evaluation the compiled form replaces.
@@ -68,27 +88,73 @@ Prediction reference_predict(const GpPredictor& model,
   return prediction;
 }
 
-/// Number of fields that differ in bits (0 = identical).
-int mismatches(const Prediction& a, const Prediction& b) {
-  int diffs = a.cluster == b.cluster ? 0 : 1;
+/// How far apart two predictions are: fields that must match bit for bit
+/// and differ, and the largest relative power differences.
+struct Divergence {
+  int exact_mismatches = 0;
+  double power_w = 0.0;
+  double power_sigma = 0.0;
+};
+
+Divergence compare(const Prediction& a, const Prediction& b) {
+  Divergence out;
+  out.exact_mismatches = a.cluster == b.cluster ? 0 : 1;
   if (a.per_config.size() != b.per_config.size()) {
-    return diffs + 1;
+    ++out.exact_mismatches;
+    return out;
   }
   for (std::size_t i = 0; i < a.per_config.size(); ++i) {
     const Estimate& x = a.per_config[i];
     const Estimate& y = b.per_config[i];
-    diffs += same_bits(x.power_w, y.power_w) ? 0 : 1;
-    diffs += same_bits(x.performance, y.performance) ? 0 : 1;
-    diffs += same_bits(x.power_sigma, y.power_sigma) ? 0 : 1;
-    diffs += same_bits(x.performance_sigma, y.performance_sigma) ? 0 : 1;
+    out.exact_mismatches += same_bits(x.performance, y.performance) ? 0 : 1;
+    out.exact_mismatches +=
+        same_bits(x.performance_sigma, y.performance_sigma) ? 0 : 1;
+    out.power_w = std::max(out.power_w, relative_diff(x.power_w, y.power_w));
+    out.power_sigma = std::max(out.power_sigma,
+                               relative_diff(x.power_sigma, y.power_sigma));
   }
   const auto& fa = a.frontier.points();
   const auto& fb = b.frontier.points();
   if (fa.size() != fb.size()) {
-    return diffs + 1;
+    ++out.exact_mismatches;
+    return out;
   }
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    diffs += fa[i].config_index == fb[i].config_index ? 0 : 1;
+    out.exact_mismatches += fa[i].config_index == fb[i].config_index ? 0 : 1;
+  }
+  return out;
+}
+
+/// Fields of two compiled predictions that differ in bits (0 = identical).
+int bit_mismatches(const Prediction& a, const Prediction& b) {
+  const Divergence d = compare(a, b);
+  return d.exact_mismatches + (d.power_w == 0.0 ? 0 : 1) +
+         (d.power_sigma == 0.0 ? 0 : 1);
+}
+
+/// Selections from the two predictions that differ, over every goal, the
+/// 22/26/30/40 W cap pool and UCB z in {0, 0.5}.
+int selection_mismatches(const Prediction& a, const Prediction& b) {
+  int diffs = 0;
+  for (const double z : {0.0, 0.5}) {
+    SchedulerOptions options;
+    if (z > 0.0) {
+      options.policy = SelectionPolicy::upper_confidence(z);
+    }
+    const Scheduler sa{a, options};
+    const Scheduler sb{b, options};
+    for (const SchedulingGoal goal :
+         {SchedulingGoal::MaxPerformance, SchedulingGoal::MinEnergy,
+          SchedulingGoal::MinEnergyDelay}) {
+      for (const double cap : {22.0, 26.0, 30.0, 40.0}) {
+        const Scheduler::Choice ca = sa.select_goal(goal, cap);
+        const Scheduler::Choice cb = sb.select_goal(goal, cap);
+        diffs += ca.config_index == cb.config_index &&
+                         ca.predicted_feasible == cb.predicted_feasible
+                     ? 0
+                     : 1;
+      }
+    }
   }
   return diffs;
 }
@@ -121,13 +187,24 @@ class GpCompiledTest : public ::testing::Test {
   }
 
   static void expect_matches_reference(const GpPredictor& model) {
+    Divergence worst;
     for (std::size_t k = 0; k < kernels_->size(); ++k) {
       const SamplePair& samples = (*kernels_)[k].samples;
-      EXPECT_EQ(mismatches(model.predict(samples),
-                           reference_predict(model, samples)),
-                0)
+      const Prediction compiled = model.predict(samples);
+      const Prediction reference = reference_predict(model, samples);
+      const Divergence d = compare(compiled, reference);
+      EXPECT_EQ(d.exact_mismatches, 0) << "kernel " << k;
+      EXPECT_LE(d.power_w, kPowerTolerance) << "kernel " << k;
+      EXPECT_LE(d.power_sigma, kSigmaTolerance) << "kernel " << k;
+      EXPECT_EQ(selection_mismatches(compiled, reference), 0)
           << "kernel " << k;
+      worst.power_w = std::max(worst.power_w, d.power_w);
+      worst.power_sigma = std::max(worst.power_sigma, d.power_sigma);
     }
+    std::ostringstream os;
+    os << std::scientific << std::setprecision(2) << worst.power_w << ' '
+       << worst.power_sigma;
+    RecordProperty("max_rel_power_w_and_sigma", os.str());
   }
 
   static std::vector<KernelCharacterization>* kernels_;
@@ -148,8 +225,8 @@ TEST_F(GpCompiledTest, ParsedModelMatchesPerConfigReference) {
   const GpPredictor parsed = GpPredictor::parse((*trained_)->serialize());
   expect_matches_reference(parsed);
   for (const KernelCharacterization& kernel : *kernels_) {
-    EXPECT_EQ(mismatches(parsed.predict(kernel.samples),
-                         (*trained_)->predict(kernel.samples)),
+    EXPECT_EQ(bit_mismatches(parsed.predict(kernel.samples),
+                             (*trained_)->predict(kernel.samples)),
               0);
   }
 }
@@ -160,6 +237,39 @@ TEST_F(GpCompiledTest, StridedModelMatchesPerConfigReference) {
     EXPECT_LE(model.cluster(c).power.training_rows(), 48u);
     EXPECT_LE(model.cluster(c).perf_cpu.training_rows(), 48u);
   }
+  expect_matches_reference(model);
+}
+
+TEST_F(GpCompiledTest, OneGroupPerRowMatchesPerConfigReference) {
+  // Every power-GP training row gets its own sample columns, so there are
+  // as many groups as rows and grouping saves nothing: the factorised
+  // algebra alone is checked.
+  const GpPredictor& base = **strided_;
+  std::vector<GpPredictor::ClusterSurrogate> clusters;
+  for (std::size_t c = 0; c < base.cluster_count(); ++c) {
+    GpPredictor::ClusterSurrogate surrogate = base.cluster(c);
+    const GpRegressor& power = surrogate.power;
+    linalg::Matrix x = power.training_inputs();
+    std::vector<double> y;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      x(i, kPowerConfigColumns) += 1e-3 * static_cast<double>(i);
+      y.push_back(power.predict(power.training_inputs().row(i)).mean);
+    }
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        ASSERT_FALSE(std::equal(x.row(i).begin() + kPowerConfigColumns,
+                                x.row(i).end(),
+                                x.row(j).begin() + kPowerConfigColumns));
+      }
+    }
+    GpHyperparams hp;
+    hp.length_scale = power.length_scale();
+    hp.signal_variance = power.signal_variance();
+    hp.noise_fraction = power.noise_variance() / power.signal_variance();
+    surrogate.power = GpRegressor::fit(x, y, hp);
+    clusters.push_back(std::move(surrogate));
+  }
+  const GpPredictor model{std::move(clusters), base.tree()};
   expect_matches_reference(model);
 }
 
@@ -217,8 +327,8 @@ TEST_F(GpCompiledTest, ConcurrentPredictMatchesSerial) {
       for (std::size_t j = 0; j < kernels_->size(); ++j) {
         const std::size_t k =
             (j + static_cast<std::size_t>(t) * 7) % kernels_->size();
-        diffs[static_cast<std::size_t>(t)] +=
-            mismatches(model.predict((*kernels_)[k].samples), serial[k]);
+        diffs[static_cast<std::size_t>(t)] += bit_mismatches(
+            model.predict((*kernels_)[k].samples), serial[k]);
       }
     });
   }

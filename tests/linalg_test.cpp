@@ -1,7 +1,11 @@
 // Tests for the dense matrix, Householder QR, and regression wrapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
@@ -406,6 +410,91 @@ TEST(Cholesky, RejectsMatricesThatAreNotPositiveDefinite) {
 TEST(Cholesky, RejectsSolveWithWrongSizedRhs) {
   const CholeskyFactorization chol{Matrix{{4.0}}};
   EXPECT_THROW(chol.solve(std::vector<double>{1.0, 2.0}), Error);
+}
+
+/// A seeded SPD matrix: a squared-exponential kernel over random points
+/// plus a small diagonal, the shape the GP factorizes.
+Matrix seeded_spd(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<double> points(n * 3);
+  for (double& v : points) {
+    v = rng.uniform(0.0, 1.0);
+  }
+  Matrix a{n, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sq = 0.0;
+      for (std::size_t c = 0; c < 3; ++c) {
+        const double d = points[i * 3 + c] - points[j * 3 + c];
+        sq += d * d;
+      }
+      a(i, j) = std::exp(-sq / 0.5) + (i == j ? 1e-2 : 0.0);
+      a(j, i) = a(i, j);
+    }
+  }
+  return a;
+}
+
+/// The textbook dot-product Cholesky, row by row: l_ij = (a_ij -
+/// Σ_{k<j} l_ik l_jk) / l_jj with the sum in k order.
+Matrix textbook_cholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l{n, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) {
+        sum -= l(i, k) * l(j, k);
+      }
+      l(i, j) = i == j ? std::sqrt(sum) : sum / l(j, j);
+    }
+  }
+  return l;
+}
+
+TEST(Cholesky, BlockedFactorIsBitIdenticalToTheTextbookForm) {
+  // Sizes 1-67 cover every remainder of the four-row blocks at many
+  // depths.
+  for (std::size_t n = 1; n <= 67; ++n) {
+    const Matrix a = seeded_spd(n, 1000 + n);
+    const CholeskyFactorization chol{a};
+    const Matrix reference = textbook_cholesky(a);
+    EXPECT_EQ(std::memcmp(chol.l().data().data(), reference.data().data(),
+                          n * n * sizeof(double)),
+              0)
+        << n;
+  }
+}
+
+TEST(Cholesky, InverseMatchesSolveColumnByColumn) {
+  for (const std::size_t n : {1u, 2u, 5u, 8u, 13u, 64u, 67u}) {
+    const CholeskyFactorization chol{seeded_spd(n, 77 + n)};
+    const Matrix inv = chol.inverse();
+    ASSERT_EQ(inv.rows(), n);
+    ASSERT_EQ(inv.cols(), n);
+    double scale = 0.0;
+    for (const double v : inv.data()) {
+      scale = std::max(scale, std::abs(v));
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      std::vector<double> e(n, 0.0);
+      e[c] = 1.0;
+      const std::vector<double> column = chol.solve(e);
+      for (std::size_t r = 0; r < n; ++r) {
+        EXPECT_NEAR(inv(r, c), column[r], 1e-10 * scale) << n << ' ' << r;
+        EXPECT_EQ(inv(r, c), inv(c, r));
+      }
+    }
+  }
+}
+
+TEST(Cholesky, InverseTimesMatrixIsTheIdentity) {
+  for (const std::size_t n : {3u, 16u, 45u, 67u}) {
+    const Matrix a = seeded_spd(n, 5 + n);
+    const Matrix product = a * CholeskyFactorization{a}.inverse();
+    EXPECT_LT(max_abs_diff(product.data(), Matrix::identity(n).data()), 1e-9)
+        << n;
+  }
 }
 
 TEST(Regression, TransformHelpersInverse) {

@@ -351,6 +351,9 @@ struct StatsCase {
   std::uint8_t value;
 };
 
+// Printed by name for the same reason as HeaderCase.
+void PrintTo(const StatsCase& c, std::ostream* os) { *os << c.name; }
+
 class ServeCodecStats : public ::testing::TestWithParam<StatsCase> {};
 
 TEST_P(ServeCodecStats, RejectsCorruptStatsPayload) {
